@@ -4,11 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"spmv"
+	"spmv/internal/autotune"
 	"spmv/internal/matgen"
+	"spmv/internal/roofline"
 )
 
 // TestConstructorsDelegateToBuild pins the constructor consolidation:
@@ -89,7 +92,7 @@ func autoShapes() map[string]*spmv.COO {
 // TestWithAutoFormatPublic is the acceptance criterion through the
 // public API: for each shape, Build(WithAutoFormat) must verify, match
 // the COO reference product, report its decision, and predict within 5%
-// of the true registry minimum bytes-per-SpMV.
+// of the true registry minimum seconds-per-SpMV.
 func TestWithAutoFormatPublic(t *testing.T) {
 	for name, c := range autoShapes() {
 		var rep spmv.TuneReport
@@ -144,9 +147,11 @@ func TestWithAutoFormatPublic(t *testing.T) {
 			}
 		}
 
-		// 5% acceptance vs the true registry minimum.
-		var trueMin int64 = -1
-		for _, fname := range spmv.FormatNames() {
+		// 5% acceptance vs the true registry minimum of predicted
+		// seconds: every modeled format that builds, priced with its
+		// built bytes under the same default model and thread count.
+		trueMin := -1.0
+		for _, fname := range autotune.CostFormats() {
 			if fname == "csr32" && !rep.Features.Lossless32 {
 				continue
 			}
@@ -154,13 +159,14 @@ func TestWithAutoFormatPublic(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			if b := spmv.BytesPerSpMV(f); trueMin < 0 || b < trueMin {
-				trueMin = b
+			secs := autotune.PredictSeconds(rep.Features, fname, spmv.BytesPerSpMV(f), roofline.Default(), runtime.GOMAXPROCS(0))
+			if trueMin < 0 || secs < trueMin {
+				trueMin = secs
 			}
 		}
-		if float64(rep.ChosenPredBytes) > 1.05*float64(trueMin) {
-			t.Errorf("%s: chose %q at %d predicted bytes/SpMV; true minimum %d (>5%% off)",
-				name, rep.Chosen.Name(), rep.ChosenPredBytes, trueMin)
+		if rep.ChosenPredSecs > 1.05*trueMin {
+			t.Errorf("%s: chose %q at %.3g predicted s/SpMV; true minimum %.3g (>5%% off)",
+				name, rep.Chosen.Name(), rep.ChosenPredSecs, trueMin)
 		}
 	}
 }

@@ -19,9 +19,15 @@
 //
 // With -auto the experiments are replaced by the autotuner: each suite
 // matrix named by -matrix (comma-separated) is feature-extracted, every
-// registry (format, scheduler) candidate is ranked by predicted
-// bytes-per-SpMV, the winner is built and verified, and the full
-// TuneReport decision traces are emitted as one JSON array on stdout.
+// registry (format, scheduler) candidate is ranked by predicted seconds
+// per SpMV (the larger of its traffic time at the bandwidth ceiling and
+// its in-core time from the fitted per-format costs: this host's when
+// -roofdir holds a schema-2 probe archive, the checked-in default table
+// otherwise), the winner is built and verified, and its measured regret
+// is taken: the pick's median Run time over the fastest of csr, csr-du
+// and csr-vi, timed in rotation for max(-iters, 3) rounds. The
+// TuneReport decision traces and regrets are emitted as one JSON array
+// on stdout.
 // With -autobudget the top-ranked candidates are additionally
 // short-benched within the given wall-clock budget and the fastest
 // measured combo wins. With -archive the probe timings are recorded
@@ -30,9 +36,13 @@
 //
 // With -roofprobe the experiments are replaced by the STREAM-style
 // measured-bandwidth probe: copy/scale/triad at 1..max(-threads)
-// goroutines, written as benchdata/ROOF_<host>.json (or -roofdir).
-// -probe-ms bounds the probe's wall time (the working set shrinks to
-// fit; every cell still reports). When a previous archive exists the
+// goroutines, followed by the kernel microprobe that fits each
+// format's serial in-core cost per row, unit and slot
+// (autotune.FitCosts), written as benchdata/ROOF_<host>.json (schema
+// 2, or -roofdir).
+// -probe-ms bounds the bandwidth probe's wall time (the working set
+// shrinks to fit; every cell still reports); the cost fit adds a few
+// seconds. When a previous archive exists the
 // probe Welch-tests bandwidth drift against it before overwriting.
 //
 // With -roofline the paper tables are replaced by the roofline table:
@@ -160,7 +170,7 @@ func main() {
 	steal := flag.Bool("steal", false, "use the work-stealing row executor (over-decomposed chunk queues)")
 	auto := flag.Bool("auto", false, "autotune the -matrix suite matrices (comma-separated) and emit the TuneReport decision traces as JSON")
 	autoBudget := flag.Duration("autobudget", 0, "with -auto, wall-clock budget for measured probe refinement (0 = analytic only)")
-	roofProbe := flag.Bool("roofprobe", false, "measure the host's STREAM bandwidth and write ROOF_<host>.json into -roofdir instead of running experiments")
+	roofProbe := flag.Bool("roofprobe", false, "measure the host's STREAM bandwidth, fit per-format kernel costs, and write ROOF_<host>.json into -roofdir instead of running experiments")
 	probeMS := flag.Int("probe-ms", 0, "with -roofprobe, wall-clock budget for the probe in milliseconds (0 = unbudgeted ~32 MiB arrays)")
 	roofFlag := flag.Bool("roofline", false, "print the roofline table (measured GB/s vs host ceiling per cell) instead of the paper tables")
 	roofDir := flag.String("roofdir", "benchdata", "directory holding the per-host ROOF_<host>.json probe archives")
@@ -249,6 +259,9 @@ func main() {
 			Budget:     time.Duration(*probeMS) * time.Millisecond,
 		})
 		die(err)
+		note("# roofprobe: fitting per-format in-core costs (serial kernel microprobe)\n")
+		f.Costs, err = autotune.FitCosts()
+		die(err)
 		die(os.MkdirAll(*roofDir, 0o755))
 		path := roofline.DefaultPath(*roofDir, f.Host)
 		if old, err := roofline.ReadFile(path); err == nil {
@@ -274,6 +287,11 @@ func main() {
 			}
 		}
 		fmt.Println(" GB/s")
+		fmt.Printf("%-12s | %9s %9s %9s\n", "format", "ns/row", "ns/unit", "ns/slot")
+		for _, name := range autotune.CostFormats() {
+			c := f.Costs[name]
+			fmt.Printf("%-12s | %9.3f %9.3f %9.3f\n", name, c.RowNS, c.UnitNS, c.SlotNS)
+		}
 		note("# roofprobe: wrote %s\n", path)
 		return
 	}
@@ -336,9 +354,16 @@ func main() {
 				archPath = archive.DefaultPath(archPath, archiveMeta().Host)
 			}
 		}
+		// The tuner scores with this host's probed costs when -roofdir
+		// holds a schema-2 probe archive, the default table otherwise.
+		model, err := roofline.Load(*roofDir)
+		if err != nil {
+			model = nil // no archive for this host: Tune's default
+		}
 		type autoCell struct {
 			Matrix string           `json:"matrix"`
 			Report *autotune.Report `json:"report"`
+			Regret *autoRegret      `json:"regret"`
 		}
 		var cells []autoCell
 		for _, name := range strings.Split(*matrixName, ",") {
@@ -350,7 +375,7 @@ func main() {
 				name, c.Rows(), c.Cols(), c.Len(), th)
 			rep, err := autotune.Tune(c, autotune.Options{
 				Threads: th, Budget: *autoBudget,
-				ArchivePath: archPath, MatrixName: name,
+				ArchivePath: archPath, MatrixName: name, Roofline: model,
 			})
 			die(err)
 			f, err := autotune.Build(c, rep.Chosen)
@@ -361,9 +386,11 @@ func main() {
 			if rep.ArchiveNote != "" {
 				note("# auto: %s: archive: %s\n", name, rep.ArchiveNote)
 			}
-			note("# auto: %s -> %s (%d predicted bytes/SpMV, probed=%v)\n",
-				name, rep.Chosen.Name(), rep.ChosenPredBytes, rep.Probed)
-			cells = append(cells, autoCell{Matrix: name, Report: rep})
+			reg, err := measureRegret(c, f, rep.Chosen.Partition, rep.Chosen.Steal, th, max(cfg.WarmIters, 3))
+			die(err)
+			note("# auto: %s -> %s (%.3g predicted s/SpMV, %s costs, probed=%v); measured regret %.2f vs %s\n",
+				name, rep.Chosen.Name(), rep.ChosenPredSecs, rep.CostSource, rep.Probed, reg.Regret, reg.Fastest)
+			cells = append(cells, autoCell{Matrix: name, Report: rep, Regret: reg})
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")

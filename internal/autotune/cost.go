@@ -5,6 +5,7 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/ell"
 	"spmv/internal/formats"
+	"spmv/internal/roofline"
 )
 
 // Candidate is one (format, encoder options, scheduler hints) combo
@@ -27,19 +28,17 @@ type Candidate struct {
 	// to this candidate (0 / false when no significant prior matched).
 	PriorGBps        float64 `json:"prior_gbps,omitempty"`
 	PriorSignificant bool    `json:"prior_significant,omitempty"`
-	// Score is the ranking key, lower is better: predicted bytes
-	// divided by the prior bandwidth ratio when a significant prior
-	// exists, plain predicted bytes otherwise. With a roofline model
-	// (Options.Roofline) the score is further divided by the ceiling
-	// bytes/second, turning it into predicted seconds — the same units
-	// as ProbeSecs, and a monotonic transform that leaves the analytic
-	// ranking unchanged.
+	// Score is the ranking key, lower is better: PredSecs, divided by
+	// the archive prior's bandwidth ratio when a significant prior
+	// exists. It is in seconds, the same units as ProbeSecs.
 	Score float64 `json:"score"`
-	// PredSecs is the roofline floor for this candidate: PredBytes
-	// moved at the model's ceiling bandwidth. 0 when tuning ran without
-	// a roofline model. Comparing ProbeSecs against it says how far the
-	// measured run sat from the memory wall.
-	PredSecs float64 `json:"pred_secs,omitempty"`
+	// PredSecs is the predicted seconds per SpMV at the tuned thread
+	// count: the larger of the traffic time, PredBytes at the model's
+	// ceiling bandwidth, and the in-core time, the format's fitted
+	// per-row, per-unit and per-slot costs over the work counts,
+	// divided by the threads. Which term wins says whether the format
+	// is predicted bandwidth-bound or decode-bound on the host.
+	PredSecs float64 `json:"pred_secs"`
 	// Probed marks candidates the measurement stage timed; ProbeSecs /
 	// ProbeStddev / ProbeSampleN summarize the seconds-per-iteration
 	// samples and ProbeBytes is the built format's actual traffic.
@@ -51,13 +50,16 @@ type Candidate struct {
 }
 
 // Candidates returns the default candidate list for a matrix with the
-// given features, in a fixed deterministic order. Formats that cannot
-// run under the row-parallel executors (jds) are omitted; formats with
-// hard applicability constraints are included but marked infeasible so
-// the report shows why they were not considered. Scheduler hints are
-// derived from the row-distribution features: heavy skew routes row
-// formats to nnz partitioning with work stealing as the probe
-// alternative.
+// given features, in a fixed deterministic order, with byte predictions
+// and feasibility filled in (Tune adds PredSecs and Score). Formats
+// that cannot run under the row-parallel executors (jds) are omitted;
+// formats with hard applicability constraints are included but marked
+// infeasible so the report shows why they were not considered.
+// Scheduler hints are derived from the row-distribution features:
+// heavy skew routes row formats to nnz-balanced partitioning (mid-row
+// splits for csr, nnz-weighted row boundaries for the rest; see
+// parallel.New) with work stealing as the probe alternative. Every
+// feasible spec runs under parallel.New as emitted.
 func Candidates(ft Features) []Candidate {
 	skewed := ft.RowSkew > 4 || ft.RowCV > 1
 	rowHint := func(s formats.Spec) formats.Spec {
@@ -94,7 +96,6 @@ func Candidates(ft Features) []Candidate {
 	for _, s := range specs {
 		c := Candidate{Spec: s}
 		c.PredBytes, c.Exact, c.Feasible, c.Reason = PredictBytes(ft, s)
-		c.Score = float64(c.PredBytes)
 		out = append(out, c)
 	}
 	return out
@@ -174,7 +175,7 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 		// Auto-partitioned VBR depends on the discovered partition;
 		// estimate as CSR plus the partition arrays so it only wins
 		// when measured.
-		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize) + (rows+cols)*core.IdxSize / 8
+		bytes = (rows+1)*core.IdxSize + nnz*(core.IdxSize+core.ValSize) + (rows+cols)*core.IdxSize/8
 		exact = false
 	case "sym-csr":
 		if !ft.Symmetric {
@@ -203,4 +204,66 @@ func PredictBytes(ft Features, s formats.Spec) (bytes int64, exact, feasible boo
 		return 0, false, false, "format not modeled"
 	}
 	return bytes + vec, exact, feasible, ""
+}
+
+// PredictSeconds predicts the seconds per SpMV of ft's matrix in the
+// named format at the given thread count under model m:
+//
+//	max(bytes / ceiling(threads), (rows·RowNS + units·UnitNS + slots·SlotNS) / threads)
+//
+// the traffic term against the in-core term, with the format's costs
+// from m (or the default table; see roofline.Model.CostFor). bytes is
+// the format's PredictBytes figure. "hybrid" predicts the best of its
+// sub-formats, mirroring its byte prediction.
+func PredictSeconds(ft Features, format string, bytes int64, m *roofline.Model, threads int) float64 {
+	if threads < 1 {
+		threads = 1
+	}
+	if format == "hybrid" {
+		best := -1.0
+		for _, sub := range []string{"csr", "csr-du", "cds"} {
+			b, _, feasible, _ := PredictBytes(ft, formats.Spec{Format: sub})
+			if !feasible {
+				continue
+			}
+			if s := PredictSeconds(ft, sub, b, m, threads); best < 0 || s < best {
+				best = s
+			}
+		}
+		return best
+	}
+	cost := m.CostFor(format)
+	rows, units, slots := workCounts(ft, format)
+	inCore := (rows*cost.RowNS + units*cost.UnitNS + slots*cost.SlotNS) * 1e-9 / float64(threads)
+	return max(float64(bytes)/(m.CeilingGBps(threads)*1e9), inCore)
+}
+
+// workCounts returns the work the named format's kernel does on ft's
+// matrix: iterations of its outer loop (rows; columns for csc),
+// decode units (CSR-DU units, JDS jagged diagonals), and stored slots
+// (non-zeros plus the padding ell, cds and bcsr store; the stored
+// triangle's off-diagonal entries for sym-csr).
+func workCounts(ft Features, format string) (rows, units, slots float64) {
+	rows, slots = float64(ft.Rows), float64(ft.NNZ)
+	switch format {
+	case "csr-du", "csr-du-vi", "dcsr":
+		units = float64(ft.DUUnits)
+	case "csr-du-rle":
+		units = float64(ft.DUUnitsRLE)
+	case "csc":
+		rows = float64(ft.Cols)
+	case "bcsr2x2":
+		slots = float64(ft.Blocks2) * 4
+	case "bcsr4x4":
+		slots = float64(ft.Blocks4) * 16
+	case "ell":
+		slots = rows * float64(ft.MaxRowNNZ)
+	case "cds":
+		slots = rows * float64(ft.Diagonals)
+	case "jds":
+		units = float64(ft.MaxRowNNZ)
+	case "sym-csr":
+		slots = float64(ft.NNZ-ft.DiagNNZ) / 2
+	}
+	return rows, units, slots
 }

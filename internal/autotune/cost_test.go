@@ -83,8 +83,10 @@ func tableShapes() []struct {
 		{
 			// One row holds 40% of the non-zeros: the format barely
 			// matters, the nnz-balanced partition does.
-			name:        "skewed-rows",
-			gen:         func() *core.COO { return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{}) },
+			name: "skewed-rows",
+			gen: func() *core.COO {
+				return matgen.SkewedRows(rand.New(rand.NewSource(22)), 2000, 4, 17, 0.4, matgen.Values{})
+			},
 			wantFormats: map[string]bool{"csr-du": true, "csr-du-rle": true, "csr": true, "csr16": true},
 			wantNNZPart: true,
 		},
@@ -110,15 +112,16 @@ func tableShapes() []struct {
 	}
 }
 
-// TestPredictedBestShapes is the satellite table test: for each known
-// synthetic shape the analytic ranking must land in the expected
-// format family (and scheduling hint), and — the acceptance criterion
-// — the chosen format's analytic bytes-per-SpMV must be within 5% of
-// the true minimum over everything the registry can build.
+// TestPredictedBestShapes is the byte-model table test, run in the
+// pure-bandwidth regime (zero in-core costs): for each known synthetic
+// shape the analytic ranking must land in the expected format family
+// (and scheduling hint), and the chosen format's analytic
+// bytes-per-SpMV must be within 5% of the true minimum over everything
+// the registry can build.
 func TestPredictedBestShapes(t *testing.T) {
 	for _, tc := range tableShapes() {
 		c := tc.gen()
-		rep, err := Tune(c, Options{Threads: 2})
+		rep, err := Tune(c, Options{Threads: 2, Roofline: bandwidthOnly(10)})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -4,20 +4,21 @@
 // best of the registry's formats depends on measurable structure
 // (delta-width histograms, unique-value counts, nnz/row skew, banding,
 // blocking, symmetry), so the tuner extracts those features, ranks
-// every candidate by predicted bytes-per-SpMV under the §II-B traffic
-// model, blends in measured per-host priors from the benchmark archive
-// when they are statistically significant, and optionally short-probes
-// the top candidates within a time budget to let the hardware cast the
-// deciding vote.
+// every candidate by predicted seconds per SpMV — the larger of its
+// §II-B traffic at the host's bandwidth ceiling and its in-core decode
+// work under fitted per-format costs — blends in measured per-host
+// priors from the benchmark archive when they are statistically
+// significant, and optionally short-probes the top candidates within a
+// time budget to let the hardware cast the deciding vote.
 package autotune
 
 import (
 	"math"
+	"slices"
 
 	"spmv/internal/core"
 	"spmv/internal/csrdu"
 	"spmv/internal/prof"
-	"spmv/internal/reorder"
 	"spmv/internal/varint"
 )
 
@@ -53,11 +54,8 @@ type Features struct {
 	Lossless32 bool    `json:"lossless32"`
 	TTU        float64 `json:"ttu"`
 
-	// Bandwidth before and after RCM reordering (square matrices only;
-	// -1 when not computed). A large drop means the matrix is banded in
-	// disguise and reordering-based formats deserve a look.
-	Bandwidth    int `json:"bandwidth"`
-	BandwidthRCM int `json:"bandwidth_rcm"`
+	// Bandwidth is the largest |j-i| over the stored entries.
+	Bandwidth int `json:"bandwidth"`
 
 	// Symmetry: the fraction of off-diagonal entries whose transposed
 	// counterpart exists with the same value (1e-12 relative tolerance,
@@ -74,11 +72,14 @@ type Features struct {
 	Blocks2   int `json:"blocks2"`
 	Blocks4   int `json:"blocks4"`
 
-	// Exact simulated CSR-DU control-stream sizes (default encoder
-	// options, RLE off and on). These make the csr-du family's size
-	// predictions exact rather than modeled.
+	// Exact simulated CSR-DU control-stream sizes and unit counts
+	// (default encoder options, RLE off and on). The sizes make the
+	// csr-du family's byte predictions exact rather than modeled; the
+	// unit counts drive its per-unit decode cost.
 	DUCtlBytes    int64 `json:"du_ctl_bytes"`
 	DUCtlBytesRLE int64 `json:"du_ctl_bytes_rle"`
+	DUUnits       int64 `json:"du_units"`
+	DUUnitsRLE    int64 `json:"du_units_rle"`
 
 	// Approx marks features recovered from an already-built format
 	// (ExtractFormat) where the triplet data was not available; only
@@ -87,42 +88,55 @@ type Features struct {
 }
 
 // Extract computes the feature vector of a triplet matrix. The COO is
-// finalized in place if needed. Cost is O(nnz) plus one RCM pass for
-// square matrices.
+// finalized in place if needed. Cost is one flat O(nnz) pass plus two
+// radix sorts of the value bits and, for square matrices, a
+// counting-sort transpose for the symmetry test.
 func Extract(c *core.COO) Features { return extract(c, false) }
 
 // extractLite computes the structural subset that drives per-region
-// format choice, skipping the whole-matrix-only passes (transpose
-// symmetry, RCM bandwidth) that would make per-block extraction
-// quadratic-ish in practice.
+// format choice, skipping the whole-matrix-only symmetry pass.
 func extractLite(c *core.COO) Features { return extract(c, true) }
 
 func extract(c *core.COO, lite bool) Features {
 	c.Finalize()
-	ft := Features{Rows: c.Rows(), Cols: c.Cols(), NNZ: c.Len(), BandwidthRCM: -1}
+	rows, cols, n := c.Rows(), c.Cols(), c.Len()
+	ft := Features{Rows: rows, Cols: cols, NNZ: n, Lossless32: true}
 
-	rowNNZ := make([]int64, c.Rows())
-	uniq := make(map[uint64]struct{})
-	uniq32 := make(map[uint32]struct{})
-	blocks2 := make(map[uint64]struct{})
-	blocks4 := make(map[uint64]struct{})
-	diags := make(map[int]struct{})
-	ft.Lossless32 = true
+	// rowPtr doubles as the per-row counts until the prefix sum below.
+	rowPtr := make([]int, rows+1)
+	bits := make([]uint64, n)
+	bits32 := make([]uint32, n)
+	// Block stamps: the finalized order visits each block row's entries
+	// contiguously, so a column block is new to the current block row
+	// iff its stamp is not yet the block row's (1-based) index.
+	stamp2 := make([]int32, cols/2+1)
+	stamp4 := make([]int32, cols/4+1)
+	// Occupied diagonals j-i, offset into [0, rows+cols-1).
+	diags := make([]uint64, (rows+cols+63)/64)
 	bw := 0
 	prevRow := -1
 	prevCol := 0
-	for k := 0; k < c.Len(); k++ {
-		i, j, v := c.At(k)
-		rowNNZ[i]++
-		bits := math.Float64bits(v)
-		uniq[bits] = struct{}{}
-		uniq32[math.Float32bits(float32(v))] = struct{}{}
-		if !core.SameBits(v, float64(float32(v))) {
+	for k := 0; k < n; k++ {
+		i, j, v := int(c.I[k]), int(c.J[k]), c.V[k]
+		rowPtr[i+1]++
+		bits[k] = math.Float64bits(v)
+		v32 := float32(v)
+		bits32[k] = math.Float32bits(v32)
+		if !core.SameBits(v, float64(v32)) {
 			ft.Lossless32 = false
 		}
-		blocks2[uint64(i/2)<<32|uint64(j/2)] = struct{}{}
-		blocks4[uint64(i/4)<<32|uint64(j/4)] = struct{}{}
-		diags[j-i] = struct{}{}
+		if s := int32(i/2 + 1); stamp2[j/2] != s {
+			stamp2[j/2] = s
+			ft.Blocks2++
+		}
+		if s := int32(i/4 + 1); stamp4[j/4] != s {
+			stamp4[j/4] = s
+			ft.Blocks4++
+		}
+		if d := j - i + rows - 1; diags[d/64]&(1<<(d%64)) == 0 {
+			diags[d/64] |= 1 << (d % 64)
+			ft.Diagonals++
+		}
 		if i == j {
 			ft.DiagNNZ++
 		}
@@ -140,32 +154,31 @@ func extract(c *core.COO, lite bool) Features {
 		}
 		prevRow, prevCol = i, j
 	}
-	ft.Unique = len(uniq)
-	ft.Unique32 = len(uniq32)
-	ft.Blocks2 = len(blocks2)
-	ft.Blocks4 = len(blocks4)
-	ft.Diagonals = len(diags)
+	ft.Unique = distinct(bits, 64)
+	ft.Unique32 = distinct(bits32, 32)
 	ft.Bandwidth = bw
 	if ft.Unique > 0 {
 		ft.TTU = float64(ft.NNZ) / float64(ft.Unique)
 	}
 
 	var sumN, sumSq float64
-	for _, n := range rowNNZ {
+	for i := 0; i < rows; i++ {
+		n := rowPtr[i+1]
 		if n > 0 {
 			ft.NonEmptyRows++
 		}
-		if int(n) > ft.MaxRowNNZ {
-			ft.MaxRowNNZ = int(n)
+		if n > ft.MaxRowNNZ {
+			ft.MaxRowNNZ = n
 		}
 		sumN += float64(n)
 		sumSq += float64(n) * float64(n)
+		rowPtr[i+1] += rowPtr[i]
 	}
-	if c.Rows() > 0 {
-		mean := sumN / float64(c.Rows())
+	if rows > 0 {
+		mean := sumN / float64(rows)
 		ft.AvgRowNNZ = mean
 		if mean > 0 {
-			variance := sumSq/float64(c.Rows()) - mean*mean
+			variance := sumSq/float64(rows) - mean*mean
 			if variance > 0 {
 				ft.RowCV = math.Sqrt(variance) / mean
 			}
@@ -174,108 +187,154 @@ func extract(c *core.COO, lite bool) Features {
 	}
 
 	if !lite {
-		ft.SymFrac, ft.Symmetric = symmetry(c)
-		if c.Rows() == c.Cols() && c.Len() > 0 {
-			if perm, err := reorder.RCM(c); err == nil {
-				if pc, err := reorder.Permute(c, perm); err == nil {
-					ft.BandwidthRCM = reorder.Bandwidth(pc)
-				}
-			}
-		}
+		ft.SymFrac, ft.Symmetric = symmetry(c, rowPtr, ft.DiagNNZ)
 	}
 
-	ft.DUCtlBytes = simulateDUCtl(c, csrdu.Options{})
-	ft.DUCtlBytesRLE = simulateDUCtl(c, csrdu.Options{RLE: true})
+	ft.DUCtlBytes, ft.DUUnits = simulateDU(c, csrdu.Options{})
+	ft.DUCtlBytesRLE, ft.DUUnitsRLE = simulateDU(c, csrdu.Options{RLE: true})
 	return ft
 }
 
-// symmetry returns the fraction of off-diagonal entries whose mirror
-// entry exists with a matching value, and whether the whole matrix is
-// numerically symmetric (the sym.FromCOO admission test).
-func symmetry(c *core.COO) (frac float64, full bool) {
-	if c.Rows() != c.Cols() {
-		return 0, false
-	}
-	offDiag := c.Len() - diagCount(c)
-	if offDiag == 0 {
-		return 1, true
-	}
-	t := c.Transpose()
-	matched := 0
-	// Both sides are finalized, so a parallel merge walk finds mirrors.
-	const tol = 1e-12
-	for k, kt := 0, 0; k < c.Len() && kt < t.Len(); {
-		i1, j1, v1 := c.At(k)
-		i2, j2, v2 := t.At(kt)
-		switch {
-		case i1 < i2 || (i1 == i2 && j1 < j2):
-			k++
-		case i2 < i1 || (i1 == i2 && j2 < j1):
-			kt++
-		default:
-			if i1 != j1 && math.Abs(v1-v2) <= tol*(1+math.Max(math.Abs(v1), math.Abs(v2))) {
-				matched++
-			}
-			k++
-			kt++
-		}
-	}
-	frac = float64(matched) / float64(offDiag)
-	return frac, matched == offDiag
-}
-
-// diagCount returns the number of entries on the main diagonal.
-func diagCount(c *core.COO) int {
+// distinct sorts keys (width bits wide) in place and counts its
+// distinct values.
+func distinct[T uint32 | uint64](keys []T, width uint) int {
+	radixSort(keys, width)
 	n := 0
-	for k := 0; k < c.Len(); k++ {
-		i, j, _ := c.At(k)
-		if i == j {
+	for k := range keys {
+		if k == 0 || keys[k] != keys[k-1] {
 			n++
 		}
 	}
 	return n
 }
 
-// simulateDUCtl replays the CSR-DU encoder's unit-splitting rules over
-// the finalized COO counting control bytes only — no value or ctl
-// allocation. The walk mirrors csrdu.encodeRow exactly (greedy class
-// extension with MinSwitch widening, the 255-element unit cap, RLE run
-// detection, NR/RJMP headers, varint jumps); features_test pins it
-// byte-for-byte against the real encoder.
-func simulateDUCtl(c *core.COO, opts csrdu.Options) int64 {
+// radixSort sorts keys in place: an LSD radix sort on 16-bit digits
+// (an even pass count, so the result lands back in keys), skipping a
+// digit every key shares. Small inputs use the comparison sort.
+func radixSort[T uint32 | uint64](keys []T, width uint) {
+	if len(keys) < 1<<12 {
+		slices.Sort(keys)
+		return
+	}
+	count := make([]int, 1<<16)
+	src, dst := keys, make([]T, len(keys))
+	for shift := uint(0); shift < width; shift += 16 {
+		clear(count)
+		for _, k := range src {
+			count[(k>>shift)&0xffff]++
+		}
+		if count[(src[0]>>shift)&0xffff] == len(src) {
+			continue // every key shares this digit
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := (k >> shift) & 0xffff
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &keys[0] {
+		copy(keys, src)
+	}
+}
+
+// symmetry returns the fraction of off-diagonal entries whose mirror
+// entry exists with a matching value, and whether the whole matrix is
+// numerically symmetric (the sym.FromCOO admission test). rowPtr is
+// the finalized COO's row index; diag its main-diagonal entry count.
+func symmetry(c *core.COO, rowPtr []int, diag int) (frac float64, full bool) {
+	rows, n := c.Rows(), c.Len()
+	if rows != c.Cols() {
+		return 0, false
+	}
+	offDiag := n - diag
+	if offDiag == 0 {
+		return 1, true
+	}
+	// Counting-sort transpose: bucketing the row-major entries by column
+	// leaves each bucket (a row of the transpose) sorted by column.
+	tPtr := make([]int, rows+1)
+	for _, j := range c.J {
+		tPtr[j+1]++
+	}
+	for i := 0; i < rows; i++ {
+		tPtr[i+1] += tPtr[i]
+	}
+	next := append([]int(nil), tPtr[:rows]...)
+	tCol := make([]int32, n)
+	tVal := make([]float64, n)
+	for k, j := range c.J {
+		p := next[j]
+		next[j]++
+		tCol[p], tVal[p] = c.I[k], c.V[k]
+	}
+	matched := 0
+	const tol = 1e-12
+	for i := 0; i < rows; i++ {
+		// Both rows are sorted by column, so a merge walk finds mirrors.
+		a, aEnd := rowPtr[i], rowPtr[i+1]
+		b, bEnd := tPtr[i], tPtr[i+1]
+		for a < aEnd && b < bEnd {
+			j1, j2 := c.J[a], tCol[b]
+			switch {
+			case j1 < j2:
+				a++
+			case j2 < j1:
+				b++
+			default:
+				v1, v2 := c.V[a], tVal[b]
+				if int(j1) != i && math.Abs(v1-v2) <= tol*(1+math.Max(math.Abs(v1), math.Abs(v2))) {
+					matched++
+				}
+				a++
+				b++
+			}
+		}
+	}
+	frac = float64(matched) / float64(offDiag)
+	return frac, matched == offDiag
+}
+
+// simulateDU replays the CSR-DU encoder's unit-splitting rules over
+// the finalized COO, counting control bytes and units only — no value
+// or ctl allocation. The walk mirrors csrdu.encodeRow exactly (greedy
+// class extension with MinSwitch widening, the 255-element unit cap,
+// RLE run detection, NR/RJMP headers, varint jumps); features_test
+// pins it byte-for-byte against the real encoder.
+func simulateDU(c *core.COO, opts csrdu.Options) (ctlBytes, units int64) {
 	if opts.RLEMin == 0 {
 		opts.RLEMin = 6
 	}
 	if opts.MinSwitch == 0 {
 		opts.MinSwitch = 4
 	}
-	var total int64
-	cols := make([]int32, 0, 64)
 	prevRow := -1
 	n := c.Len()
 	for k := 0; k < n; {
-		i0, _, _ := c.At(k)
-		cols = cols[:0]
-		for k < n {
-			i, j, _ := c.At(k)
-			if i != i0 {
-				break
-			}
-			cols = append(cols, int32(j))
+		i0 := int(c.I[k])
+		start := k
+		for k < n && int(c.I[k]) == i0 {
 			k++
 		}
-		total += simulateRow(i0, prevRow, cols, opts)
+		b, u := simulateRow(i0, prevRow, c.J[start:k], opts)
+		ctlBytes += b
+		units += u
 		prevRow = i0
 	}
-	return total
+	return ctlBytes, units
 }
 
-// simulateRow counts the ctl bytes one row's units would occupy.
-func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) int64 {
-	var bytes int64
+// simulateRow counts the ctl bytes and units one row would occupy.
+func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) (bytes, units int64) {
 	newRow := true
 	prevCol := int32(0)
 	unitHeader := func(ujmp uint64) {
+		units++
 		bytes += 2 // uflags + usize
 		if newRow && row-prevRow > 1 {
 			bytes += int64(varint.Len(uint64(row - prevRow)))
@@ -327,7 +386,7 @@ func simulateRow(row, prevRow int, cols []int32, opts csrdu.Options) int64 {
 		prevCol = cols[t-1]
 		newRow = false
 	}
-	return bytes
+	return bytes, units
 }
 
 // deltaClass mirrors csrdu's width classing: the narrowest class
@@ -354,7 +413,7 @@ func deltaClass(d uint64) int {
 func ExtractFormat(f core.Format) Features {
 	ft := Features{
 		Rows: f.Rows(), Cols: f.Cols(), NNZ: f.NNZ(),
-		Approx: true, BandwidthRCM: -1,
+		Approx: true,
 	}
 	p := prof.New(f)
 	if p.VI != nil {

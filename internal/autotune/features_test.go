@@ -25,8 +25,8 @@ func shapes() map[string]*core.COO {
 }
 
 // TestSimulateDUCtlMatchesEncoder pins the size-only control-stream
-// simulation byte-for-byte against the real CSR-DU encoder, RLE off
-// and on. Any drift between the two makes the csr-du cost predictions
+// simulation byte-for-byte and unit-for-unit against the real CSR-DU
+// encoder, RLE off and on. Any drift between the two makes the csr-du cost predictions
 // silently wrong, so this is the load-bearing test of the extractor.
 func TestSimulateDUCtlMatchesEncoder(t *testing.T) {
 	for name, c := range shapes() {
@@ -38,12 +38,18 @@ func TestSimulateDUCtlMatchesEncoder(t *testing.T) {
 		if got, want := ft.DUCtlBytes, int64(len(plain.Ctl)); got != want {
 			t.Errorf("%s: simulated ctl %d bytes, encoder produced %d", name, got, want)
 		}
+		if got, want := ft.DUUnits, int64(plain.Stats().Units); got != want {
+			t.Errorf("%s: simulated %d units, encoder produced %d", name, got, want)
+		}
 		rle, err := csrdu.FromCOOOpts(c, csrdu.Options{RLE: true})
 		if err != nil {
 			t.Fatalf("%s: csrdu rle build: %v", name, err)
 		}
 		if got, want := ft.DUCtlBytesRLE, int64(len(rle.Ctl)); got != want {
 			t.Errorf("%s: simulated rle ctl %d bytes, encoder produced %d", name, got, want)
+		}
+		if got, want := ft.DUUnitsRLE, int64(rle.Stats().Units); got != want {
+			t.Errorf("%s: simulated %d rle units, encoder produced %d", name, got, want)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"spmv/internal/csr"
 	"spmv/internal/formats"
 	"spmv/internal/hybrid"
+	"spmv/internal/roofline"
 )
 
 // regionFormats are the candidate formats for one hybrid row block, in
@@ -16,31 +17,34 @@ var regionFormats = []string{
 }
 
 // BuildHybrid builds a hybrid matrix whose per-region formats are
-// chosen by the analytic cost model instead of the registry's fixed
+// chosen by the analytic time model instead of the registry's fixed
 // build-all-and-compare heuristic: each row block gets the format the
-// model predicts smallest for that block's own features.
+// model predicts fastest for that block's own features.
 func BuildHybrid(c *core.COO) (*hybrid.Matrix, error) {
 	return hybrid.FromCOOSelect(c, hybrid.DefaultBlockRows, RegionSelector())
 }
 
 // RegionSelector returns the autotuned per-region format selector: it
-// extracts the block's features (the cheap structural subset — no RCM
-// or symmetry pass, which only inform whole-matrix choices) and builds
-// the predicted-smallest feasible format. A block whose winning format
-// unexpectedly fails to build falls back to CSR rather than failing
-// the whole matrix.
+// extracts the block's features (the cheap structural subset — no
+// symmetry pass, which only informs whole-matrix choices) and builds
+// the feasible format with the smallest predicted seconds under the
+// default model (Tune's score at one thread: each region runs as one
+// serial piece of work). A block whose winning format unexpectedly
+// fails to build falls back to CSR rather than failing the whole
+// matrix.
 func RegionSelector() hybrid.Selector {
+	m := roofline.Default()
 	return func(sub *core.COO) (core.Format, error) {
 		ft := extractLite(sub)
 		bestName := "csr"
-		var bestBytes int64 = -1
+		best := -1.0
 		for _, name := range regionFormats {
 			bytes, exact, feasible, _ := PredictBytes(ft, formats.Spec{Format: name})
 			if !feasible || !exact {
 				continue
 			}
-			if bestBytes < 0 || bytes < bestBytes {
-				bestBytes = bytes
+			if secs := PredictSeconds(ft, name, bytes, m, 1); best < 0 || secs < best {
+				best = secs
 				bestName = name
 			}
 		}

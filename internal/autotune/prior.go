@@ -81,7 +81,7 @@ func welchSignificant(a, b archive.Record) bool {
 
 // applyPriors blends archive priors into candidate scores: a format
 // with a significant measured bandwidth ratio r against csr has its
-// predicted bytes divided by r, so a format that historically moves
+// predicted seconds divided by r, so a format that historically moves
 // bytes faster (or slower) than csr on this host is credited (or
 // penalized) proportionally. Candidates without a significant prior
 // keep their analytic score untouched.
@@ -95,6 +95,6 @@ func applyPriors(cands []Candidate, priors map[string]prior) {
 		ratio := p.GBps / p.CSRGBps
 		c.PriorGBps = p.GBps
 		c.PriorSignificant = true
-		c.Score = float64(c.PredBytes) / ratio
+		c.Score /= ratio
 	}
 }

@@ -30,7 +30,7 @@ func probe(c *core.COO, rep *Report, opts Options) error {
 	rep.Probed = true
 	rep.ProbeIters = iters
 
-	baseline := baselineIndex(rep)
+	baseline := baselineIndex(rep, opts)
 
 	probed := 0
 	for i := range rep.Candidates {
@@ -91,7 +91,7 @@ func isPlainCSR(s formats.Spec) bool {
 
 // baselineIndex locates — appending if absent — the plain-CSR baseline
 // candidate every probe run measures.
-func baselineIndex(rep *Report) int {
+func baselineIndex(rep *Report, opts Options) int {
 	for i, cand := range rep.Candidates {
 		if isPlainCSR(cand.Spec) && cand.Feasible {
 			return i
@@ -99,7 +99,7 @@ func baselineIndex(rep *Report) int {
 	}
 	base := Candidate{Spec: formats.Spec{Format: "csr"}}
 	base.PredBytes, base.Exact, base.Feasible, base.Reason = PredictBytes(rep.Features, base.Spec)
-	base.Score = float64(base.PredBytes)
+	score(&base, rep.Features, opts.model(), opts.Threads)
 	rep.Candidates = append(rep.Candidates, base)
 	return len(rep.Candidates) - 1
 }
@@ -130,7 +130,9 @@ func probeOne(c *core.COO, cand *Candidate, iters, threads int, deadline time.Ti
 	if err != nil {
 		return err
 	}
-	run, err := newRunner(f, cand.Spec, threads)
+	run, err := parallel.New(f, parallel.ExecOptions{
+		Threads: threads, Partition: cand.Spec.Partition, Steal: cand.Spec.Steal,
+	})
 	if err != nil {
 		return err
 	}
@@ -163,22 +165,6 @@ func probeOne(c *core.COO, cand *Candidate, iters, threads int, deadline time.Ti
 	cand.ProbeSampleN = len(samples)
 	cand.ProbeBytes = obs.BytesPerSpMV(f)
 	return nil
-}
-
-// newRunner builds the executor a spec's scheduler hints call for,
-// falling back to the default row scheme when the format does not
-// support the hinted partition.
-func newRunner(f core.Format, s formats.Spec, threads int) (parallel.Runner, error) {
-	if s.Name() == "sym-csr" {
-		return parallel.NewSymExecutor(f, threads)
-	}
-	run, err := parallel.New(f, parallel.ExecOptions{
-		Threads: threads, Partition: s.Partition, Steal: s.Steal,
-	})
-	if err != nil && (s.Partition != "" || s.Steal) {
-		run, err = parallel.New(f, parallel.ExecOptions{Threads: threads})
-	}
-	return run, err
 }
 
 // probeRecord summarizes a probed candidate as an archive record.

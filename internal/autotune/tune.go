@@ -33,15 +33,33 @@ type Options struct {
 	// MatrixName keys probe records in the archive; empty derives a
 	// name from the matrix dimensions.
 	MatrixName string
-	// Candidates overrides the default candidate list (rarely needed
-	// outside tests).
-	Candidates []Candidate
-	// Roofline, when non-nil, is the host bandwidth model used as a
-	// prior: every candidate's score is divided by the ceiling
-	// bytes/second at Threads, restating it as predicted seconds
-	// (Candidate.PredSecs) directly comparable with probe timings. A
-	// constant divisor per run, so the analytic ranking is unchanged.
+	// Roofline is the host model the candidates are scored by: its
+	// bandwidth ceiling at Threads prices each candidate's bytes and
+	// its fitted per-format in-core costs price the decode work
+	// (Candidate.PredSecs takes the larger). A model without costs
+	// (a schema 1 archive, an analytic model) takes its costs from the
+	// checked-in default table (roofline.Default), and a nil Roofline
+	// uses that table whole, so analytic tuning stays deterministic
+	// without a probe.
 	Roofline *roofline.Model
+}
+
+// model returns the model candidates are scored by: Roofline, or the
+// default table without one.
+func (o Options) model() *roofline.Model {
+	if o.Roofline != nil {
+		return o.Roofline
+	}
+	return roofline.Default()
+}
+
+// score fills a feasible candidate's PredSecs and sets Score to it.
+func score(c *Candidate, ft Features, m *roofline.Model, threads int) {
+	if !c.Feasible {
+		return
+	}
+	c.PredSecs = PredictSeconds(ft, c.Spec.Name(), c.PredBytes, m, threads)
+	c.Score = c.PredSecs
 }
 
 func (o Options) withDefaults() Options {
@@ -65,10 +83,11 @@ type Report struct {
 	// then ascending score (probe timings override the analytic order
 	// for probed candidates).
 	Candidates []Candidate `json:"candidates"`
-	// Chosen is the winning spec; ChosenPredBytes its analytic
-	// bytes-per-SpMV prediction.
+	// Chosen is the winning spec; ChosenPredBytes and ChosenPredSecs
+	// its analytic bytes and seconds per SpMV.
 	Chosen          formats.Spec `json:"chosen"`
 	ChosenPredBytes int64        `json:"chosen_pred_bytes"`
+	ChosenPredSecs  float64      `json:"chosen_pred_secs"`
 	// PriorsUsed reports whether any significant archive prior
 	// re-weighted the ranking.
 	PriorsUsed bool `json:"priors_used,omitempty"`
@@ -82,10 +101,13 @@ type Report struct {
 	// ArchiveNote records a non-fatal problem loading or writing the
 	// benchmark archive ("" when clean).
 	ArchiveNote string `json:"archive_note,omitempty"`
-	// CeilingGBps and RooflineSource record the bandwidth prior the
-	// scores were normalized by (0 / "" without Options.Roofline).
-	CeilingGBps    float64 `json:"ceiling_gbps,omitempty"`
-	RooflineSource string  `json:"roofline_source,omitempty"`
+	// CeilingGBps and RooflineSource record the bandwidth ceiling the
+	// traffic terms were priced at and the model it came from
+	// ("probe", "analytic" or "default"); CostSource says whether the
+	// in-core costs were a probe's fit or the default table.
+	CeilingGBps    float64 `json:"ceiling_gbps"`
+	RooflineSource string  `json:"roofline_source"`
+	CostSource     string  `json:"cost_source"`
 }
 
 // Tune extracts features, ranks candidates, and (within Options.Budget)
@@ -94,19 +116,17 @@ type Report struct {
 func Tune(c *core.COO, opts Options) (*Report, error) {
 	opts = opts.withDefaults()
 	ft := Extract(c)
-	return tuneFeatures(c, ft, opts)
-}
-
-// tuneFeatures is Tune past feature extraction, shared with callers
-// that already hold the features.
-func tuneFeatures(c *core.COO, ft Features, opts Options) (*Report, error) {
-	rep := &Report{Features: ft}
-	cands := opts.Candidates
-	if cands == nil {
-		cands = Candidates(ft)
+	rep := &Report{Features: ft, Candidates: Candidates(ft)}
+	m := opts.model()
+	rep.CeilingGBps = m.CeilingGBps(opts.Threads)
+	rep.RooflineSource = m.Source
+	rep.CostSource = roofline.SourceDefault
+	if m.Costs != nil {
+		rep.CostSource = m.Source
 	}
-	rep.Candidates = make([]Candidate, len(cands))
-	copy(rep.Candidates, cands)
+	for i := range rep.Candidates {
+		score(&rep.Candidates[i], ft, m, opts.Threads)
+	}
 
 	if opts.ArchivePath != "" {
 		if f, err := archive.Load(opts.ArchivePath); err == nil {
@@ -123,16 +143,6 @@ func tuneFeatures(c *core.COO, ft Features, opts Options) (*Report, error) {
 		}
 	}
 
-	if c := opts.Roofline.CeilingGBps(opts.Threads); c > 0 {
-		rep.CeilingGBps = c
-		rep.RooflineSource = opts.Roofline.Source
-		for i := range rep.Candidates {
-			cand := &rep.Candidates[i]
-			cand.PredSecs = float64(cand.PredBytes) / (c * 1e9)
-			cand.Score /= c * 1e9
-		}
-	}
-
 	rank(rep.Candidates)
 
 	if opts.Budget > 0 {
@@ -145,6 +155,7 @@ func tuneFeatures(c *core.COO, ft Features, opts Options) (*Report, error) {
 		if cand.Feasible {
 			rep.Chosen = cand.Spec
 			rep.ChosenPredBytes = cand.PredBytes
+			rep.ChosenPredSecs = cand.PredSecs
 			return rep, nil
 		}
 	}

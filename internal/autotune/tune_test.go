@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -174,12 +176,27 @@ func closeEnough(a, b float64) bool {
 	return d <= 1e-9*(1+m)
 }
 
-// TestSymmetricMatrixPicksSymCSR pins the symmetry feature's payoff:
-// on a numerically symmetric matrix with incompressible values, the
-// halved off-diagonal storage wins.
+// bandwidthOnly is the paper's pure-bandwidth regime as a model: the
+// given ceiling at every thread count and every in-core cost zero, so
+// predicted seconds are predicted bytes over a constant and the
+// ranking is the byte ranking.
+func bandwidthOnly(gbps float64) *roofline.Model {
+	m := &roofline.Model{
+		Source: roofline.SourceProbe, Host: "t", Ceilings: map[int]float64{0: gbps},
+		Costs: map[string]roofline.Cost{},
+	}
+	for _, f := range CostFormats() {
+		m.Costs[f] = roofline.Cost{}
+	}
+	return m
+}
+
+// TestSymmetricMatrixPicksSymCSR pins the symmetry feature's payoff in
+// the pure-bandwidth regime: on a numerically symmetric matrix with
+// incompressible values, the halved off-diagonal storage wins.
 func TestSymmetricMatrixPicksSymCSR(t *testing.T) {
 	c := matgen.Symmetrize(matgen.RandomUniform(rand.New(rand.NewSource(51)), 800, 800, 9, matgen.Values{}))
-	rep, err := Tune(c, Options{Threads: 2})
+	rep, err := Tune(c, Options{Threads: 2, Roofline: bandwidthOnly(10)})
 	if err != nil {
 		t.Fatalf("%v", err)
 	}
@@ -194,17 +211,19 @@ func specKey(s formats.Spec) string {
 	return fmt.Sprintf("%s/%s/steal=%v", s.Name(), s.Partition, s.Steal)
 }
 
-// TestRooflinePriorKeepsRankingMonotonic pins that a roofline model
-// restates scores as predicted seconds without changing the analytic
-// ranking: same ordering, Score == PredSecs (prior-free), and the
-// report carries the ceiling it normalized by.
+// TestRooflinePriorKeepsRankingMonotonic pins that, in the
+// pure-bandwidth regime, the ceiling only restates scores as predicted
+// seconds without changing the ranking: same ordering whatever the
+// ceiling, Score == PredSecs (prior-free), and the report carries the
+// ceiling it priced the bytes at.
 func TestRooflinePriorKeepsRankingMonotonic(t *testing.T) {
 	c := matgen.RandomUniform(rand.New(rand.NewSource(7)), 600, 600, 8, matgen.Values{})
-	plain, err := Tune(c, Options{Threads: 2})
+	plain, err := Tune(c, Options{Threads: 2, Roofline: bandwidthOnly(1)})
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
-	m := &roofline.Model{Source: roofline.SourceProbe, Host: "t", Ceilings: map[int]float64{2: 10}}
+	m := bandwidthOnly(0)
+	m.Ceilings = map[int]float64{2: 10}
 	roofed, err := Tune(c, Options{Threads: 2, Roofline: m})
 	if err != nil {
 		t.Fatalf("roofed: %v", err)
@@ -232,6 +251,118 @@ func TestRooflinePriorKeepsRankingMonotonic(t *testing.T) {
 		}
 		if diff := rc.Score - wantSecs; diff > 1e-15 || diff < -1e-15 {
 			t.Errorf("%s: Score %v not restated as seconds %v", specKey(rc.Spec), rc.Score, wantSecs)
+		}
+	}
+}
+
+// rankKeys renders a ranking as spec keys, best first.
+func rankKeys(cands []Candidate) []string {
+	out := make([]string, len(cands))
+	for i, c := range cands {
+		out[i] = specKey(c.Spec)
+	}
+	return out
+}
+
+// TestZeroCostsReproduceByteRanking pins the paper's regime as a
+// special case of the time model: with every in-core cost zero the
+// ranking is exactly the byte ranking (feasible first, ascending
+// predicted bytes, ties in candidate order).
+func TestZeroCostsReproduceByteRanking(t *testing.T) {
+	for name, c := range shapes() {
+		rep, err := Tune(c, Options{Threads: 2, Roofline: bandwidthOnly(7)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := Candidates(Extract(c))
+		sort.SliceStable(want, func(i, j int) bool {
+			if want[i].Feasible != want[j].Feasible {
+				return want[i].Feasible
+			}
+			return want[i].PredBytes < want[j].PredBytes
+		})
+		if got, w := rankKeys(rep.Candidates), rankKeys(want); !slices.Equal(got, w) {
+			t.Errorf("%s: zero-cost ranking\n got %v\nwant %v", name, got, w)
+		}
+	}
+}
+
+// TestDecodeBoundCostsRankCSRFirst is the deterministic test of the
+// time model's purpose: with costs under which CSR-DU decode is
+// compute-bound (at 40 GB/s a non-zero's 8–12 bytes take 0.2–0.3 ns,
+// well under the per-slot and per-unit decode work), matrices shaped
+// like the benchmark's femlike and random-q200 rank csr or csr-vi
+// above csr-du and csr-du-vi — while the byte ranking of the same
+// matrices puts the DU family first.
+func TestDecodeBoundCostsRankCSRFirst(t *testing.T) {
+	decodeBound := &roofline.Model{
+		Source: roofline.SourceProbe, Ceilings: map[int]float64{0: 40},
+		Costs: map[string]roofline.Cost{
+			"csr":       {RowNS: 3, SlotNS: 1},
+			"csr-vi":    {RowNS: 3, SlotNS: 1.4},
+			"csr-du":    {UnitNS: 10, SlotNS: 1.3},
+			"csr-du-vi": {UnitNS: 8, SlotNS: 5},
+		},
+	}
+	rng := rand.New(rand.NewSource(71))
+	for name, c := range map[string]*core.COO{
+		"femlike":     matgen.FEMLike(rng, 3000, 5, matgen.Values{}),
+		"random-q200": matgen.RandomUniform(rng, 3000, 3000, 7, matgen.Values{Unique: 200}),
+	} {
+		pos := func(rep *Report) map[string]int {
+			at := map[string]int{}
+			for i, cand := range rep.Candidates {
+				if _, seen := at[cand.Spec.Name()]; !seen && cand.Feasible {
+					at[cand.Spec.Name()] = i
+				}
+			}
+			return at
+		}
+		bytes, err := Tune(c, Options{Threads: 2, Roofline: bandwidthOnly(10)})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b := pos(bytes); b["csr-du"] > b["csr"] && b["csr-du-vi"] > b["csr"] {
+			t.Fatalf("%s: the byte ranking already puts csr first; the shape does not exercise the flip", name)
+		}
+		rep, err := Tune(c, Options{Threads: 2, Roofline: decodeBound})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		at := pos(rep)
+		best := min(at["csr"], at["csr-vi"])
+		if best > at["csr-du"] || best > at["csr-du-vi"] {
+			t.Errorf("%s: decode-bound costs ranked %v; want csr or csr-vi above csr-du and csr-du-vi", name, rankKeys(rep.Candidates))
+		}
+		if n := rep.Chosen.Name(); n == "csr-du" || n == "csr-du-vi" {
+			t.Errorf("%s: decode-bound costs chose %s", name, n)
+		}
+	}
+}
+
+// TestCostSourceReported pins the report's provenance labels: the
+// default table without a model or with a cost-less (schema 1) one,
+// the probe's fit with a schema-2 model.
+func TestCostSourceReported(t *testing.T) {
+	c := matgen.Stencil2D(12)
+	schema1 := &roofline.Model{Source: roofline.SourceProbe, Ceilings: map[int]float64{1: 5}}
+	for _, tc := range []struct {
+		m          *roofline.Model
+		roof, cost string
+	}{
+		{nil, roofline.SourceDefault, roofline.SourceDefault},
+		{schema1, roofline.SourceProbe, roofline.SourceDefault},
+		{bandwidthOnly(5), roofline.SourceProbe, roofline.SourceProbe},
+	} {
+		rep, err := Tune(c, Options{Threads: 1, Roofline: tc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RooflineSource != tc.roof || rep.CostSource != tc.cost || rep.CeilingGBps <= 0 {
+			t.Errorf("model %+v: roofline %q cost %q ceiling %v; want %q, %q", tc.m, rep.RooflineSource, rep.CostSource, rep.CeilingGBps, tc.roof, tc.cost)
+		}
+		if rep.ChosenPredSecs <= 0 || rep.ChosenPredSecs != rep.Candidates[0].PredSecs {
+			t.Errorf("model %+v: chosen predicted %v s", tc.m, rep.ChosenPredSecs)
 		}
 	}
 }

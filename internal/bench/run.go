@@ -65,9 +65,9 @@ type Config struct {
 	// the simulator is deterministic, repeats would be identical.
 	Samples int
 	// Partition selects the native execution scheme ("row", "col",
-	// "nnz"); empty means row. Formats that do not support the
-	// requested scheme (nnz is CSR-only) fall back to row partitioning
-	// so mixed-format sweeps still complete.
+	// "nnz"); empty means row. Under "nnz" formats that cannot split a
+	// row (all but CSR) keep row partitioning (see parallel.New), so
+	// mixed-format sweeps still complete.
 	Partition string
 	// Steal enables the work-stealing row executor in native mode
 	// (parallel.ExecOptions.Steal).
@@ -352,13 +352,7 @@ const warmUpIters = 3
 // SpMV" averages incomparable at small WarmIters. rec, when non-nil,
 // observes only the measured iterations, not the warm-up.
 func measureNative(cfg Config, f core.Format, threads int, rec *obs.Recorder) (float64, error) {
-	opts := parallel.ExecOptions{Threads: threads, Partition: cfg.Partition, Steal: cfg.Steal}
-	if opts.Partition == "nnz" {
-		if _, ok := f.(core.NNZSplitter); !ok {
-			opts.Partition = "" // no nnz splitting for this format: row
-		}
-	}
-	e, err := parallel.New(f, opts)
+	e, err := parallel.New(f, parallel.ExecOptions{Threads: threads, Partition: cfg.Partition, Steal: cfg.Steal})
 	if err != nil {
 		return 0, err
 	}

@@ -57,7 +57,11 @@ type ExecOptions struct {
 	Collector obs.Collector
 	// Partition selects the execution scheme: "row" (the default, also
 	// selected by ""), "col", or "nnz" (non-zero-granular boundaries
-	// that split long rows; CSR only). Block partitioning needs the
+	// that split long rows; formats that cannot split a row — all but
+	// CSR — keep their row split, which places row boundaries by
+	// non-zero count). With "", a format that offers scatter chunks but
+	// no row chunks (sym-csr, csc) runs under the SymExecutor's
+	// private-vector tree reduction. Block partitioning needs the
 	// original triplets, not a built format — use NewBlockExecutor
 	// directly.
 	Partition string
@@ -85,12 +89,24 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 	switch {
 	case opts.Steal:
 		r, err = NewStealExecutor(f, threads)
+	case opts.Partition == "" && isScatterOnly(f):
+		// Symmetric storage (sym-csr) applies each stored element to
+		// two rows, so it cannot be row-partitioned; its scatter chunks
+		// run under the private-vector tree reduction instead.
+		r, err = NewSymExecutor(f, threads)
 	case opts.Partition == "" || opts.Partition == "row":
 		r, err = NewExecutor(f, threads)
 	case opts.Partition == "col":
 		r, err = NewColExecutor(f, threads)
 	case opts.Partition == "nnz":
-		r, err = NewNNZExecutor(f, threads)
+		if _, ok := f.(core.NNZSplitter); ok {
+			r, err = NewNNZExecutor(f, threads)
+		} else {
+			// No mid-row splitting for this format: its row split, which
+			// the row formats already place by non-zero count, is the
+			// nearest balance it offers.
+			r, err = NewExecutor(f, threads)
+		}
 	default:
 		return nil, core.Usagef("parallel: unknown partition %q (valid: row, col, nnz)", opts.Partition)
 	}
@@ -101,6 +117,14 @@ func New(f core.Format, opts ExecOptions) (Runner, error) {
 		r.SetCollector(opts.Collector)
 	}
 	return r, nil
+}
+
+// isScatterOnly reports whether f offers scatter (column) chunks but
+// no row chunks — the shape of symmetric storage.
+func isScatterOnly(f core.Format) bool {
+	_, rows := f.(core.Splitter)
+	_, scatter := f.(core.ColSplitter)
+	return scatter && !rows
 }
 
 // runBatchColumns is the executor-level batch fallback shared by the

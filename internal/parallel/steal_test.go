@@ -8,8 +8,10 @@ import (
 
 	"spmv/internal/core"
 	"spmv/internal/csr"
+	"spmv/internal/csrvi"
 	"spmv/internal/matgen"
 	"spmv/internal/obs"
+	"spmv/internal/sym"
 	"spmv/internal/testmat"
 )
 
@@ -176,6 +178,35 @@ func TestNewWithStealAndNNZOptions(t *testing.T) {
 	}
 	if _, ok := r.(*NNZExecutor); !ok {
 		t.Errorf("nnz partition built %T", r)
+	}
+	r.Close()
+
+	// A format that cannot split rows keeps its row split under nnz.
+	vi, err := csrvi.FromCOO(matgen.Stencil2D(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err = New(vi, ExecOptions{Threads: 2, Partition: "nnz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.(*Executor); !ok {
+		t.Errorf("nnz partition of csr-vi built %T", r)
+	}
+	r.Close()
+
+	// Symmetric storage has no row split: the default scheme is the
+	// scatter executor's tree reduction.
+	sm, err := sym.FromCOO(matgen.Stencil2D(10), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err = New(sm, ExecOptions{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := r.(*SymExecutor); !ok {
+		t.Errorf("default scheme for sym-csr built %T", r)
 	}
 	r.Close()
 

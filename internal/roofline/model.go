@@ -12,25 +12,40 @@ import (
 	"spmv/internal/prof/archive"
 )
 
-// Sources a Model can be built from.
+// Sources a Model (and its costs) can be built from.
 const (
 	SourceProbe    = "probe"
 	SourceAnalytic = "analytic"
+	SourceDefault  = "default"
 )
+
+// Cost is one format's fitted serial in-core cost: nanoseconds per
+// row of the outer loop, per decode unit (CSR-DU units), and per
+// stored slot (non-zeros plus any padding). A
+// kernel's in-core time is rows·RowNS + units·UnitNS + slots·SlotNS.
+type Cost struct {
+	RowNS  float64 `json:"row_ns"`
+	UnitNS float64 `json:"unit_ns"`
+	SlotNS float64 `json:"slot_ns"`
+}
 
 // Model is the bandwidth roofline: per-thread-count ceilings in GB/s.
 // Built from a measured probe archive (FromFile/Load) or from a
 // memsim.Machine's analytic peak (Analytic). A Model is immutable
 // after construction and safe for concurrent readers.
 type Model struct {
-	// Source is "probe" or "analytic"; Host names the probed machine
-	// ("" for analytic models).
+	// Source is "probe", "analytic" or, for Default, "default"; Host
+	// names the probed machine ("" for analytic models).
 	Source string `json:"source"`
 	Host   string `json:"host,omitempty"`
 	// Ceilings maps thread count to the best sustained GB/s any probe
 	// kernel measured at that count. Analytic models hold a single
 	// entry at thread count 0, meaning "any".
 	Ceilings map[int]float64 `json:"ceilings_gbps"`
+	// Costs maps a format name to its fitted in-core cost. Nil when
+	// the model carries none (schema 1 files, analytic models);
+	// CostFor then answers from the default table.
+	Costs map[string]Cost `json:"costs,omitempty"`
 }
 
 // FromFile builds a Model from a probe archive: per thread count, the
@@ -40,10 +55,13 @@ func FromFile(f *File) (*Model, error) {
 	if f == nil || len(f.Results) == 0 {
 		return nil, fmt.Errorf("roofline: empty probe file")
 	}
-	if f.Schema != Schema {
-		return nil, fmt.Errorf("roofline: unsupported schema %d (want %d)", f.Schema, Schema)
+	if f.Schema < minSchema || f.Schema > Schema {
+		return nil, fmt.Errorf("roofline: unsupported schema %d (want %d..%d)", f.Schema, minSchema, Schema)
 	}
 	m := &Model{Source: SourceProbe, Host: f.Host, Ceilings: map[int]float64{}}
+	if len(f.Costs) > 0 {
+		m.Costs = f.Costs
+	}
 	for _, r := range f.Results {
 		if r.Threads < 1 || r.MeanGBps <= 0 {
 			continue
@@ -94,6 +112,17 @@ func (m *Model) CeilingGBps(threads int) float64 {
 		best = t
 	}
 	return m.Ceilings[best]
+}
+
+// CostFor returns the in-core cost of a format: the model's entry when
+// the model carries costs, the default table's (see Default) when it
+// carries none. The zero Cost means the format is not in the table
+// consulted, so its kernel is priced by traffic alone.
+func (m *Model) CostFor(format string) Cost {
+	if m == nil || m.Costs == nil {
+		return defaultModel.Costs[format]
+	}
+	return m.Costs[format]
 }
 
 // Pct returns the fraction of the roofline a measured bandwidth
@@ -176,8 +205,8 @@ func ReadFile(path string) (*File, error) {
 	if err := json.Unmarshal(data, &f); err != nil {
 		return nil, fmt.Errorf("roofline: %s: %w", path, err)
 	}
-	if f.Schema != Schema {
-		return nil, fmt.Errorf("roofline: %s: unsupported schema %d (want %d)", path, f.Schema, Schema)
+	if f.Schema < minSchema || f.Schema > Schema {
+		return nil, fmt.Errorf("roofline: %s: unsupported schema %d (want %d..%d)", path, f.Schema, minSchema, Schema)
 	}
 	return &f, nil
 }

@@ -1,8 +1,8 @@
 // Package roofline anchors every bandwidth number this repo reports to
-// a measured ceiling. The paper's thesis — SpMV is memory-bandwidth
-// bound, and compression wins by shrinking the stream — is only
-// checkable against a denominator: the bandwidth the host can actually
-// sustain. This package supplies that denominator two ways:
+// a measured ceiling, and carries the in-core side of the time model.
+// The paper's thesis — SpMV is memory-bandwidth bound, and compression
+// wins by shrinking the stream — is only checkable against a
+// denominator: the bandwidth the host can actually sustain. This package supplies that denominator two ways:
 //
 //   - a measured probe: STREAM-style copy/scale/triad kernels run at
 //     1..P threads, repeated-sample timed (mean/stddev, the same
@@ -14,7 +14,9 @@
 // A Model built from either source turns any (bytes/iter, secs/iter,
 // threads) measurement into percent-of-roofline — the number that says
 // whether a kernel is at the memory wall or leaving bandwidth on the
-// table.
+// table. A Model also carries per-format in-core costs (Cost), so a
+// prediction can take the larger of the traffic time and the decode
+// work, as in the Schubert/Hager/Fehske decomposition.
 package roofline
 
 import (
@@ -26,8 +28,13 @@ import (
 	"spmv/internal/stats"
 )
 
-// Schema is the ROOF_<host>.json schema version.
-const Schema = 1
+// Schema is the ROOF_<host>.json schema version written. Schema 2
+// adds the fitted per-format in-core costs (File.Costs); schema 1
+// files, which carry bandwidth cells only, still load.
+const Schema = 2
+
+// minSchema is the oldest schema ReadFile and FromFile accept.
+const minSchema = 1
 
 // Kernel names, in probe order. Bytes moved per element per sweep:
 // copy and scale stream two arrays (read one, write one), triad
@@ -75,6 +82,10 @@ type File struct {
 	// Cores is GOMAXPROCS at probe time.
 	Cores   int      `json:"cores"`
 	Results []Result `json:"results"`
+	// Costs are the per-format in-core costs fitted by the kernel
+	// microprobe run beside the bandwidth probe (schema 2; absent in
+	// schema 1 files).
+	Costs map[string]Cost `json:"costs,omitempty"`
 }
 
 // ProbeOptions tune Probe. The zero value probes 1..GOMAXPROCS threads

@@ -227,3 +227,62 @@ func TestDriftFlagsBandwidthLoss(t *testing.T) {
 		t.Fatalf("stable probe flagged: %+v", regs)
 	}
 }
+
+// TestSchemaTwoCostsAndSchemaOneFallback pins the cost side of the
+// archive: a schema-2 file's fitted costs survive the round trip and
+// CostFor answers from them; a schema-1 file (no costs) still loads,
+// and its CostFor answers from the default table.
+func TestSchemaTwoCostsAndSchemaOneFallback(t *testing.T) {
+	dir := t.TempDir()
+	cells := []Result{{Kernel: KernelTriad, Threads: 1, ArrayLen: 1 << 16, SweepsPerSample: 1, Samples: 2, MeanGBps: 7}}
+	path := filepath.Join(dir, "ROOF_two.json")
+	csr := Cost{RowNS: 3, SlotNS: 1.25}
+	if err := WriteFile(path, &File{Host: "h", Results: cells, Costs: map[string]Cost{"csr": csr}}); err != nil {
+		t.Fatal(err)
+	}
+	f, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := FromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Schema != 2 || m.Source != SourceProbe {
+		t.Fatalf("schema %d, source %q", f.Schema, m.Source)
+	}
+	if c := m.CostFor("csr"); c != csr {
+		t.Errorf("CostFor(csr) = %+v, want the probed %+v", c, csr)
+	}
+
+	old := &File{Schema: 1, Host: "h", Results: cells}
+	m, err = FromFile(old)
+	if err != nil {
+		t.Fatalf("schema 1 rejected: %v", err)
+	}
+	if m.Costs != nil || m.CeilingGBps(1) != 7 {
+		t.Errorf("schema 1 model: costs %v, ceiling %v", m.Costs, m.CeilingGBps(1))
+	}
+	if c := m.CostFor("csr"); c != Default().Costs["csr"] || c == (Cost{}) {
+		t.Errorf("schema 1 CostFor(csr) = %+v, want the default entry %+v", c, Default().Costs["csr"])
+	}
+}
+
+// TestDefaultTable pins the embedded default table: it parses as a
+// schema-2 probe archive, carries a bandwidth ceiling at one and two
+// threads and a non-negative cost with some positive term for every
+// format it lists, and is labelled SourceDefault.
+func TestDefaultTable(t *testing.T) {
+	m := Default()
+	if m.Source != SourceDefault || m.CeilingGBps(1) <= 0 || m.CeilingGBps(2) <= 0 {
+		t.Fatalf("default model: source %q, ceilings %v", m.Source, m.Ceilings)
+	}
+	if len(m.Costs) == 0 {
+		t.Fatal("default model carries no costs")
+	}
+	for name, c := range m.Costs {
+		if c.RowNS < 0 || c.UnitNS < 0 || c.SlotNS < 0 || c.RowNS+c.UnitNS+c.SlotNS <= 0 {
+			t.Errorf("%s: cost %+v", name, c)
+		}
+	}
+}

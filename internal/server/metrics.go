@@ -111,13 +111,15 @@ type MatrixMetrics struct {
 // chosen spec and the headline numbers, not the full candidate trace
 // (spmvbench -auto emits that).
 type TuneDecision struct {
-	Format     string `json:"format"`
-	Partition  string `json:"partition,omitempty"`
-	Steal      bool   `json:"steal,omitempty"`
-	PredBytes  int64  `json:"pred_bytes"`
-	Candidates int    `json:"candidates"`
-	PriorsUsed bool   `json:"priors_used,omitempty"`
-	Probed     bool   `json:"probed,omitempty"`
+	Format     string  `json:"format"`
+	Partition  string  `json:"partition,omitempty"`
+	Steal      bool    `json:"steal,omitempty"`
+	PredBytes  int64   `json:"pred_bytes"`
+	PredSecs   float64 `json:"pred_secs"`
+	CostSource string  `json:"cost_source"`
+	Candidates int     `json:"candidates"`
+	PriorsUsed bool    `json:"priors_used,omitempty"`
+	Probed     bool    `json:"probed,omitempty"`
 }
 
 // MetricsSnapshot is the JSON document served on /metrics.
@@ -195,6 +197,8 @@ func (s *Server) Snapshot() MetricsSnapshot {
 				Partition:  t.Chosen.Partition,
 				Steal:      t.Chosen.Steal,
 				PredBytes:  t.ChosenPredBytes,
+				PredSecs:   t.ChosenPredSecs,
+				CostSource: t.CostSource,
 				Candidates: len(t.Candidates),
 				PriorsUsed: t.PriorsUsed,
 				Probed:     t.Probed,

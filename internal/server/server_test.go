@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -14,6 +16,7 @@ import (
 	"spmv/internal/core"
 	"spmv/internal/formats"
 	"spmv/internal/matfile"
+	"spmv/internal/matgen"
 	"spmv/internal/mmio"
 	"spmv/internal/server/faulttest"
 )
@@ -179,6 +182,33 @@ func TestUploadAutoFormat(t *testing.T) {
 	again := upload(t, s, body, "auto")
 	if !again.Cached || again.ID != resp.ID {
 		t.Errorf("auto re-upload missed the cache: %+v", again)
+	}
+}
+
+// TestUploadSymmetricAuto uploads a numerically symmetric matrix —
+// the shape on which the tuner can pick sym-csr, which has no row
+// partition — with format=auto and with an explicit format=sym-csr.
+// Both must build an executor and multiply like CSR.
+func TestUploadSymmetricAuto(t *testing.T) {
+	s := newTestServer(t, Config{})
+	c := matgen.Symmetrize(matgen.RandomUniform(rand.New(rand.NewSource(51)), 800, 800, 9, matgen.Values{}))
+	var body bytes.Buffer
+	if err := mmio.Write(&body, c); err != nil {
+		t.Fatal(err)
+	}
+	for _, format := range []string{"auto", "sym-csr"} {
+		resp := upload(t, s, body.Bytes(), format)
+		x := testVec(resp.Cols)
+		code, y := multiply(t, s, resp.ID, x, nil)
+		if code != http.StatusOK {
+			t.Fatalf("%s (built %s): multiply status %d", format, resp.Format, code)
+		}
+		want := refMul(t, body.Bytes(), "csr", x)
+		for i := range want {
+			if d := math.Abs(y[i] - want[i]); d > 1e-10*(1+math.Abs(want[i])) {
+				t.Fatalf("%s (built %s): y[%d] = %v, want %v", format, resp.Format, i, y[i], want[i])
+			}
+		}
 	}
 }
 

@@ -52,12 +52,17 @@ echo "== spmvbench -auto smoke"
 # measured probe stage, the chosen format built and structurally
 # verified (the command exits non-zero if the tuned build fails
 # Verify), and the TuneReport decision traces emitted as JSON with the
-# probe timings recorded into the archive from the previous smoke.
+# probe timings recorded into the archive from the previous smoke, each
+# with the pick's measured regret against csr, csr-du and csr-vi.
 go run ./cmd/spmvbench -auto -matrix blockdiag-s-q16,random-s \
 	-autobudget 200ms -scale 0.02 -threads 2 \
 	-archive "$ARCHDIR" > "$ARCHDIR/auto.json" 2> /dev/null
 grep -q '"chosen"' "$ARCHDIR/auto.json" || {
 	echo "verify.sh: spmvbench -auto produced no TuneReport" >&2
+	exit 1
+}
+grep -q '"regret"' "$ARCHDIR/auto.json" || {
+	echo "verify.sh: spmvbench -auto reported no measured regret" >&2
 	exit 1
 }
 
